@@ -13,11 +13,15 @@
 //     are not.
 //
 //  2. A real 512-node kFatTree3 cluster pushing a full stream ring,
-//     reporting events/sec and the sim-time/wall-time ratio.
+//     reporting events/sec and the sim-time/wall-time ratio, plus the
+//     whole-process costs around it: set-up wall time (cluster build, port
+//     opens, warm-up) and the process's peak RSS.
 //
 // With --baseline <json> the run gates itself against a committed
 // baseline: >--max-regression (default 0.30) loss of cluster events/sec
 // exits non-zero, which is what the CI perf-smoke job checks.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -220,6 +224,7 @@ SynthResult run_synthetic(std::uint64_t target, int chains) {
 // ---- real 512-node cluster ----------------------------------------------
 
 struct ClusterResult {
+  double setup_s = 0;
   std::uint64_t events = 0;
   double events_per_sec = 0;
   std::uint64_t sim_ns = 0;
@@ -228,7 +233,14 @@ struct ClusterResult {
   bool complete = false;
 };
 
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
 ClusterResult run_cluster512(int nodes, int msgs) {
+  const auto t_setup = std::chrono::steady_clock::now();
   gm::ClusterConfig cc;
   cc.nodes = nodes;
   cc.fabric = net::FabricPreset::kFatTree3;
@@ -250,6 +262,7 @@ ClusterResult run_cluster512(int nodes, int msgs) {
   }
   cluster.run_for(sim::usec(900));
   for (auto& wl : ring) wl.start();
+  const double setup_s = seconds_since(t_setup);
 
   const std::uint64_t ev0 = cluster.eq().executed();
   const sim::Time t_sim0 = cluster.eq().now();
@@ -263,6 +276,7 @@ ClusterResult run_cluster512(int nodes, int msgs) {
     if (all) break;
   }
   ClusterResult r;
+  r.setup_s = setup_s;
   r.wall_s = seconds_since(t0);
   r.events = cluster.eq().executed() - ev0;
   r.sim_ns = cluster.eq().now() - t_sim0;
@@ -358,6 +372,9 @@ int main(int argc, char** argv) {
   std::printf("  sim/wall ratio : %12.3f (%llu sim-ns in %.2f s)\n",
               cl.sim_per_wall, static_cast<unsigned long long>(cl.sim_ns),
               cl.wall_s);
+  const double rss_mb = peak_rss_mb();
+  std::printf("  set-up         : %12.3f s\n", cl.setup_s);
+  std::printf("  peak RSS       : %12.1f MB\n", rss_mb);
   if (!cl.complete) {
     std::fprintf(stderr, "FAIL: stream ring did not complete\n");
     return 1;
@@ -380,13 +397,16 @@ int main(int argc, char** argv) {
       "    \"events\": %llu,\n"
       "    \"events_per_sec\": %.0f,\n"
       "    \"sim_ns\": %llu,\n"
-      "    \"sim_time_per_wall_time\": %.4f\n"
+      "    \"sim_time_per_wall_time\": %.4f,\n"
+      "    \"setup_s\": %.3f,\n"
+      "    \"peak_rss_mb\": %.1f\n"
       "  }\n"
       "}\n",
       scale(), static_cast<unsigned long long>(cal.events),
       cal.events_per_sec, legacy.events_per_sec, speedup, nodes,
       static_cast<unsigned long long>(cl.events), cl.events_per_sec,
-      static_cast<unsigned long long>(cl.sim_ns), cl.sim_per_wall);
+      static_cast<unsigned long long>(cl.sim_ns), cl.sim_per_wall,
+      cl.setup_s, rss_mb);
   std::printf("\n%s", json);
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fputs(json, f);

@@ -116,10 +116,9 @@ class Cluster {
   // Event-core health, refreshed after every run slice: compaction sweeps
   // (cancelled-entry eviction) and the dead-entry backlog.
   void publish_eq_metrics() {
-    metrics_.gauge("sim.eq_compactions")
-        .set(static_cast<std::int64_t>(eq_.compactions()));
-    metrics_.gauge("sim.eq_cancelled_pending")
-        .set(static_cast<std::int64_t>(eq_.cancelled_pending()));
+    eq_compactions_.set(static_cast<std::int64_t>(eq_.compactions()));
+    eq_cancelled_pending_.set(
+        static_cast<std::int64_t>(eq_.cancelled_pending()));
   }
 
   std::unique_ptr<Node> build_node(net::NodeId id, const std::string& name);
@@ -134,6 +133,10 @@ class Cluster {
   sim::Rng rng_;
   ClusterConfig cfg_;
   metrics::Registry metrics_;
+  // Resolved once: the registry's map keeps node addresses stable.
+  metrics::Gauge& eq_compactions_ = metrics_.gauge("sim.eq_compactions");
+  metrics::Gauge& eq_cancelled_pending_ =
+      metrics_.gauge("sim.eq_cancelled_pending");
   std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<net::FabricBuilder> fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;

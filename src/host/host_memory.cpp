@@ -19,14 +19,15 @@ std::span<const std::byte> HostMemory::at(DmaAddr addr,
 bool HostMemory::write(DmaAddr addr, std::span<const std::byte> data) {
   auto dst = at(addr, data.size());
   if (dst.size() != data.size()) return false;
-  std::memcpy(dst.data(), data.data(), data.size());
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (!data.empty()) std::memcpy(dst.data(), data.data(), data.size());
   return true;
 }
 
 bool HostMemory::read(DmaAddr addr, std::span<std::byte> out) const {
   auto src = at(addr, out.size());
   if (src.size() != out.size()) return false;
-  std::memcpy(out.data(), src.data(), out.size());
+  if (!out.empty()) std::memcpy(out.data(), src.data(), out.size());
   return true;
 }
 

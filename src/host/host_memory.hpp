@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/lazy_pages.hpp"
+
 namespace myri::host {
 
 /// Physical/DMA address in host memory.
@@ -23,6 +25,8 @@ using DmaAddr = std::uint64_t;
 
 inline constexpr std::size_t kPageSize = 4096;
 
+/// Simulated DRAM; pages are materialised on first write (sim::LazyPages),
+/// so an 8 MB host costs only what GM actually touches. Move-only.
 class HostMemory {
  public:
   explicit HostMemory(std::size_t bytes) : mem_(bytes) {}
@@ -39,7 +43,7 @@ class HostMemory {
   bool read(DmaAddr addr, std::span<std::byte> out) const;
 
  private:
-  std::vector<std::byte> mem_;
+  sim::LazyPages mem_;
 };
 
 /// Bump-with-free-list allocator over a pinned window of host memory.

@@ -3,12 +3,15 @@
 // Stores the MCP image (including the interpreted send_chunk code the fault
 // campaign flips bits in), packet staging buffers, descriptor rings and the
 // FTD's magic word. Byte-addressable, little-endian 32-bit accessors.
+// Backed by lazily zeroed pages (sim::LazyPages): untouched SRAM costs no
+// host memory, and clear() hands every page back instead of writing 1 MB.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+
+#include "sim/lazy_pages.hpp"
 
 namespace myri::lanai {
 
@@ -26,10 +29,10 @@ class Sram {
   // Unchecked fast accessors (callers validate with in_range / the CPU's
   // bus checker). 32-bit accesses must be 4-byte aligned.
   [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const {
-    return static_cast<std::uint8_t>(mem_[addr]);
+    return static_cast<std::uint8_t>(mem_.data()[addr]);
   }
   void write8(std::uint32_t addr, std::uint8_t v) {
-    mem_[addr] = static_cast<std::byte>(v);
+    mem_.data()[addr] = static_cast<std::byte>(v);
   }
   [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const {
     return static_cast<std::uint32_t>(read8(addr)) |
@@ -56,15 +59,15 @@ class Sram {
   }
 
   /// Zero the whole SRAM (card reset / FTD clear step).
-  void clear() { std::fill(mem_.begin(), mem_.end(), std::byte{0}); }
+  void clear() noexcept { mem_.zero(); }
 
   /// Flip one bit (fault injection).
   void flip_bit(std::uint32_t addr, unsigned bit) {
-    mem_[addr] ^= static_cast<std::byte>(1u << (bit & 7u));
+    mem_.data()[addr] ^= static_cast<std::byte>(1u << (bit & 7u));
   }
 
  private:
-  std::vector<std::byte> mem_;
+  sim::LazyPages mem_;
 };
 
 }  // namespace myri::lanai

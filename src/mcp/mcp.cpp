@@ -26,12 +26,19 @@ std::uint32_t fragments_of(std::uint32_t len) {
   if (len == 0) return 1;
   return (len + net::kMaxPacketPayload - 1) / net::kMaxPacketPayload;
 }
+
+// The assembled routine is identical for every card; load() copies it into
+// each card's SRAM, which is where fault injection flips its bits.
+const SendChunkImage& send_chunk_image() {
+  static const SendChunkImage image = assemble_send_chunk();
+  return image;
+}
 }  // namespace
 
 Mcp::Mcp(lanai::Nic& nic, host::PciBus& pci, host::HostMemory& hmem,
          Config cfg)
     : nic_(nic), pci_(pci), hmem_(hmem), cfg_(cfg),
-      image_(assemble_send_chunk()) {}
+      image_(send_chunk_image()) {}
 
 // --------------------------------------------------------------------------
 // Lifecycle

@@ -1,6 +1,17 @@
 // GM user-library tests: token discipline, callbacks, buffers, event pump.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
 
 namespace myri::gm {
@@ -253,6 +264,63 @@ TEST(GmNode, AllocPinnedExhaustion) {
   EXPECT_TRUE(big.valid());
   Buffer more = p.alloc_dma_buffer(900 * 1024);
   EXPECT_FALSE(more.valid());
+}
+
+// Bytes of `s` backed by a physical page right now (mincore). Simulated
+// memories are page-aligned mappings, so the span starts on a page.
+std::size_t resident_bytes(std::span<const std::byte> s) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((s.size() + page - 1) / page);
+  void* start = const_cast<std::byte*>(s.data());
+  if (mincore(start, s.size(), vec.data()) != 0) return SIZE_MAX;
+  std::size_t pages = 0;
+  for (const unsigned char v : vec) pages += v & 1u;
+  return pages * page;
+}
+
+TEST(GmCluster, SimulatedMemoryIsMaterialisedOnlyWhereUsed) {
+  // Each node models 8 MB of host DRAM and 1 MB of SRAM; a stream ring
+  // touches a small fraction of both. A change that value-initialises
+  // either memory again makes every page resident and fails this.
+  constexpr std::size_t kBoundPerNode = 1u << 20;  // of 9 MB simulated
+  ClusterConfig cc;
+  cc.nodes = 64;
+  cc.fabric = net::FabricPreset::kFatTree;
+  cc.switch_ports = 16;
+  cc.mode = mcp::McpMode::kFtgm;
+  Cluster cluster(cc);
+  std::vector<Port*> tx;
+  std::vector<Port*> rx;
+  for (int i = 0; i < cc.nodes; ++i) {
+    tx.push_back(&cluster.node(i).open_port(2));
+    rx.push_back(&cluster.node(i).open_port(3));
+  }
+  cluster.run_for(sim::usec(900));
+  fi::StreamWorkload::Config wc;
+  wc.total_msgs = 10;
+  wc.msg_len = 1024;
+  std::deque<fi::StreamWorkload> ring;
+  for (int i = 0; i < cc.nodes; ++i) {
+    ring.emplace_back(*tx[i], *rx[(i + 1) % cc.nodes], wc);
+    ring.back().start();
+  }
+  cluster.run_for(sim::msec(20));
+  for (auto& wl : ring) ASSERT_TRUE(wl.complete());
+
+  std::size_t worst = 0;
+  for (int i = 0; i < cc.nodes; ++i) {
+    Node& n = cluster.node(i);
+    const std::size_t host =
+        resident_bytes(n.memory().at(0, n.memory().size()));
+    const std::size_t sram =
+        resident_bytes(n.nic().sram().bytes(0, n.nic().sram().size()));
+    ASSERT_NE(host, SIZE_MAX);
+    ASSERT_NE(sram, SIZE_MAX);
+    EXPECT_GT(sram, 0u) << "node " << i << ": the MCP image lives in SRAM";
+    worst = std::max(worst, host + sram);
+  }
+  EXPECT_LT(worst, kBoundPerNode) << "worst node: " << worst << " bytes";
+  RecordProperty("worst_resident_bytes_per_node", std::to_string(worst));
 }
 
 }  // namespace

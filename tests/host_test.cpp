@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 #include "host/host_memory.hpp"
 #include "host/interrupts.hpp"
@@ -37,9 +42,60 @@ TEST(HostMemory, BoundaryExactFits) {
   EXPECT_EQ(mem.at(124, 4).size(), 4u);
 }
 
+TEST(HostMemory, EmptyCopyIsANoOp) {
+  HostMemory mem(128);
+  EXPECT_TRUE(mem.write(128, {}));  // an empty span's data() may be null
+  EXPECT_TRUE(mem.read(0, {}));
+}
+
 TEST(HostMemory, OverflowAddressDoesNotWrap) {
   HostMemory mem(128);
   EXPECT_TRUE(mem.at(~0ull, 4).empty());
+}
+
+TEST(HostMemory, FreshEightMegabytesReadZero) {
+  HostMemory mem(8u << 20);
+  for (const DmaAddr a : {DmaAddr{0}, DmaAddr{4u << 20}, DmaAddr{(8u << 20) - 1}}) {
+    std::array<std::byte, 1> b{std::byte{0xff}};
+    ASSERT_TRUE(mem.read(a, b));
+    EXPECT_EQ(b[0], std::byte{0}) << "addr " << a;
+  }
+}
+
+TEST(HostMemory, UnmappableSizeThrows) {
+  EXPECT_THROW(HostMemory(~std::size_t{0}), std::bad_alloc);
+}
+
+TEST(HostMemory, OutOfRangeSpansAreEmptyIncludingWrappingEnds) {
+  HostMemory mem(8u << 20);
+  EXPECT_TRUE(mem.at(mem.size(), 1).empty());
+  EXPECT_TRUE(mem.at(mem.size() - 4, 8).empty());
+  EXPECT_TRUE(mem.at(16, ~std::size_t{0}).empty());  // addr + len wraps
+  EXPECT_TRUE(mem.at(~DmaAddr{0} - 2, 4).empty());   // so does this one
+  EXPECT_EQ(mem.at(mem.size() - 4, 4).size(), 4u);
+  const HostMemory& cmem = mem;
+  EXPECT_TRUE(cmem.at(16, ~std::size_t{0}).empty());
+}
+
+TEST(HostMemory, MoveOnlyAndMovedFromIsSafeToDestroy) {
+  static_assert(!std::is_copy_constructible_v<HostMemory>);
+  static_assert(std::is_nothrow_move_constructible_v<HostMemory>);
+  const std::array<std::byte, 4> data{std::byte{9}, std::byte{8},
+                                      std::byte{7}, std::byte{6}};
+  auto a = std::make_unique<HostMemory>(1u << 20);
+  ASSERT_TRUE(a->write(0x1234, data));
+  HostMemory b(std::move(*a));
+  a.reset();  // destroy the moved-from object first
+  std::array<std::byte, 4> out{};
+  ASSERT_TRUE(b.read(0x1234, out));
+  EXPECT_EQ(out, data);
+
+  HostMemory c(4096);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 1u << 20);
+  ASSERT_TRUE(c.read(0x1234, out));
+  EXPECT_EQ(out, data);
+  EXPECT_TRUE(b.at(0, 1).empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(PinnedAllocator, AllocationsAreDisjoint) {

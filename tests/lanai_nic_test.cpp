@@ -2,13 +2,18 @@
 // packet interface and reset semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "host/host_memory.hpp"
 #include "host/interrupts.hpp"
 #include "host/pci.hpp"
 #include "lanai/nic.hpp"
 #include "lanai/registers.hpp"
+#include "lanai/sram.hpp"
 #include "lanai/tx_descriptor.hpp"
 #include "net/link.hpp"
 #include "sim/event_queue.hpp"
@@ -16,6 +21,58 @@
 
 namespace myri::lanai {
 namespace {
+
+bool all_zero(std::span<const std::byte> s) {
+  return std::all_of(s.begin(), s.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(Sram, FreshMegabyteReadsZero) {
+  const Sram sram(1u << 20);
+  for (const std::uint32_t a : {0u, 1u << 19, (1u << 20) - 1}) {
+    EXPECT_EQ(sram.read8(a), 0u) << "addr " << a;
+  }
+  EXPECT_EQ(sram.read32((1u << 20) - 4), 0u);
+}
+
+TEST(Sram, ClearZeroesWrittenAndFlippedPages) {
+  Sram sram(1u << 20);
+  sram.write32(0x40000, 0xdeadbeefu);
+  sram.flip_bit(0x80001, 3);  // a page nothing had touched
+  sram.write32(sram.size() - 4, 0xffffffffu);
+  ASSERT_EQ(sram.read8(0x80001), 0x08u);
+  sram.clear();
+  EXPECT_TRUE(all_zero(sram.bytes(0, sram.size())));
+  sram.write32(0x40000, 7);  // still usable after the pages were dropped
+  EXPECT_EQ(sram.read32(0x40000), 7u);
+}
+
+TEST(Sram, OutOfRangeBytesAreEmptyIncludingWrappingEnds) {
+  Sram sram(1u << 20);
+  EXPECT_TRUE(sram.bytes(sram.size(), 1).empty());
+  EXPECT_TRUE(sram.bytes(sram.size() - 2, 4).empty());
+  EXPECT_TRUE(sram.bytes(0xffffffffu, 2).empty());
+  EXPECT_TRUE(sram.bytes(4, ~std::size_t{0}).empty());  // addr + len wraps
+  EXPECT_FALSE(sram.in_range(4, ~std::size_t{0}));
+  EXPECT_EQ(sram.bytes(sram.size() - 4, 4).size(), 4u);
+  const Sram& csram = sram;
+  EXPECT_TRUE(csram.bytes(4, ~std::size_t{0}).empty());
+}
+
+TEST(Sram, MoveOnlyAndMovedFromIsSafeToDestroy) {
+  static_assert(!std::is_copy_constructible_v<Sram>);
+  static_assert(std::is_nothrow_move_constructible_v<Sram>);
+  auto a = std::make_unique<Sram>(1u << 16);
+  a->write32(0x100, 0x01020304u);
+  Sram b(std::move(*a));
+  a.reset();  // destroy the moved-from object first
+  EXPECT_EQ(b.read32(0x100), 0x01020304u);
+  Sram c(4096);
+  c = std::move(b);
+  EXPECT_EQ(c.read32(0x100), 0x01020304u);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.bytes(0, 1).empty());
+}
 
 class SinkSpy : public net::PacketSink {
  public:
